@@ -9,6 +9,7 @@ the daemon side.
 """
 
 from conftest import profile_workload, run_once, write_result
+from repro.obs import derive
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ("x11perf", "gcc", "wave5", "mccalpin-assign", "altavista",
@@ -21,16 +22,15 @@ def run_table4():
     for name in WORKLOADS:
         result = profile_workload(get_workload(name), mode="default",
                                   max_instructions=BUDGET)
-        driver_stats = result.driver.stats()
-        daemon_stats = result.daemon.stats()
+        stats = derive(result.metrics())
         rows.append({
             "workload": name,
-            "miss_rate": driver_stats["miss_rate"] * 100.0,
-            "avg": driver_stats["avg_cost"],
-            "hit": driver_stats["avg_hit_cost"],
-            "miss": driver_stats["avg_miss_cost"],
-            "daemon": daemon_stats["cost_per_sample"],
-            "aggregation": daemon_stats["aggregation"],
+            "miss_rate": stats["driver.hash.miss_rate"] * 100.0,
+            "avg": stats["driver.avg_cost"],
+            "hit": stats["driver.avg_hit_cost"],
+            "miss": stats["driver.avg_miss_cost"],
+            "daemon": stats["daemon.cost_per_sample"],
+            "aggregation": stats["daemon.aggregation_factor"],
         })
     return rows
 

@@ -90,7 +90,6 @@ class Daemon:
         # Robustness accounting.
         self.recoveries = 0
         self.lost_samples = 0      # daemon-side accounted loss
-        self.samples_dropped = 0   # driver-side loss, as last observed
         self.drain_retries = 0
         self.drain_failures = 0
         self.loadmaps_dropped = 0
@@ -185,7 +184,6 @@ class Daemon:
             edges = driver.flush_edges(cpu_id)
             if edges:
                 self._process_edges(edges)
-        self.samples_dropped = sum(s.dropped for s in driver.cpus)
         self._touch_resident()
 
     def _drain_cpu(self, driver, cpu_id):
@@ -236,7 +234,6 @@ class Daemon:
                     driver.ack(cpu_id, seq)
                     continue
                 self._ingest(driver, cpu_id, seq, entries)
-        self.samples_dropped = sum(s.dropped for s in driver.cpus)
 
     def _process_edges(self, edges):
         """Merge double-sampling edge samples into image profiles.
@@ -539,12 +536,6 @@ class Daemon:
 
     def peak_resident_bytes(self):
         return max(self._peak_resident, self.resident_bytes())
-
-    def stats(self):
-        """Backward-compatible view over :mod:`repro.obs.schema`."""
-        from repro.obs.schema import legacy_daemon_stats
-
-        return legacy_daemon_stats(self)
 
     def metrics(self):
         """Typed metric snapshot (normalized names, shard-mergeable)."""

@@ -71,16 +71,14 @@ class ShardResult:
     profiles: dict
     #: {event: mean sampling period} (profile metadata).
     periods: dict
-    #: combined driver + daemon statistics of the profiled run.
-    stats: dict
+    #: typed self-monitoring snapshot (repro.obs.schema names) of the
+    #: profiled run; reduced across shards exactly like the profiles.
+    obs: dict
     instructions: int
     cycles: int
     baseline_cycles: Optional[int] = None
     baseline_instructions: Optional[int] = None
     elapsed: float = 0.0
-    #: typed self-monitoring snapshot (repro.obs.schema names), always
-    #: present; reduced across shards exactly like the profiles.
-    obs: Optional[dict] = None
     #: Chrome-trace events of the shard's run (obs-enabled shards).
     trace_events: Optional[list] = None
     #: context-ledger blob (ContextLedger.to_meta) of ctx-enabled
@@ -89,24 +87,7 @@ class ShardResult:
 
     @property
     def samples(self):
-        return self.stats.get("driver_samples", 0)
-
-    def overhead_pct(self):
-        """Slowdown percent vs the baseline run, daemon cost included.
-
-        Follows the Table 3 methodology: daemon cycles are charged at
-        the period-scaled rate and amortized across the CPUs.  Returns
-        None when the shard did not run a baseline.
-        """
-        if not self.baseline_cycles:
-            return None
-        scale = self.stats.get("scaled_daemon_cycles", None)
-        if scale is None:
-            scale = (self.stats.get("daemon_cycles", 0)
-                     * self.stats.get("cost_scale", 1.0)
-                     / max(1, self.stats.get("num_cpus", 1)))
-        adjusted = self.cycles + scale
-        return (adjusted - self.baseline_cycles) / self.baseline_cycles * 100.0
+        return self.obs["driver.samples"]["value"]
 
 
 def run_shard(spec):
@@ -131,12 +112,6 @@ def run_shard(spec):
                       faults=spec.faults, context=spec.context))
     result = session.run(workload, max_instructions=spec.max_instructions)
     export = result.export_mergeable()
-    stats = export["stats"]
-    stats["cost_scale"] = result.driver.cost_scale
-    stats["num_cpus"] = len(result.machine.cores)
-    stats["scaled_daemon_cycles"] = (
-        result.daemon.cycles * result.driver.cost_scale
-        / len(result.machine.cores))
     baseline_cycles = baseline_instructions = None
     if spec.baseline:
         base = session.run_baseline(
@@ -148,13 +123,12 @@ def run_shard(spec):
         spec=spec,
         profiles=export["profiles"],
         periods=export["periods"],
-        stats=stats,
+        obs=export["obs"],
         instructions=result.instructions,
         cycles=result.cycles,
         baseline_cycles=baseline_cycles,
         baseline_instructions=baseline_instructions,
         elapsed=time.perf_counter() - started,
-        obs=export["obs"],
         trace_events=(list(result.obs.trace.events)
                       if result.obs.enabled and result.obs.trace.enabled
                       else None),

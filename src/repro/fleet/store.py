@@ -13,8 +13,9 @@ ledger, and advisory ingest lock.  A delta is routed by a stable hash
 of its machine id (``zlib.crc32`` -- unsalted, identical across
 processes), so every machine always lands on the same shard and the
 per-shard dedupe ledger stays authoritative.  N writer processes
-ingesting disjoint machines therefore contend on nothing.  The default
-``shards=1`` keeps the exact legacy single-directory layout on disk.
+ingesting disjoint machines therefore contend on nothing.  Every store,
+whatever its shard count, is laid out on disk as ``STORE.json`` (the
+shard count) plus one ``shards/sNN/`` directory per shard.
 
 Idempotent delivery: every applied delta id ``(machine, epoch, batch)``
 is recorded in the owning shard's ledger committed *in the same atomic
@@ -62,8 +63,7 @@ LEDGER_VERSION = 1
 #: Lock file guarding each shard's single-writer ingest path.
 INGEST_LOCK_NAME = "INGEST.lock"
 
-#: Store-level layout descriptor (only written for sharded stores;
-#: legacy single-shard stores have no extra file).
+#: Store-level layout descriptor: records the shard count.
 STORE_META_NAME = "STORE.json"
 
 #: Real sleeping between lock attempts (injectable for tests; the
@@ -317,31 +317,19 @@ class FleetStore:
             raise ValueError(
                 "store %s is laid out as %d shard(s); cannot open it "
                 "with shards=%d" % (self.root, persisted, shards))
-        if persisted is None and shards > 1:
+        if persisted is None:
             if os.path.isdir(os.path.join(self.root, "db")):
                 raise ValueError(
-                    "store %s already holds a single-shard layout; "
-                    "cannot reshard it to %d" % (self.root, shards))
+                    "store %s holds a pre-sharding layout (db/ without "
+                    "%s); cannot open it with shards=%d"
+                    % (self.root, STORE_META_NAME, shards))
             self._write_store_meta(shards)
         self.num_shards = shards
-        if shards == 1:
-            # Legacy layout: the store root IS the shard (db/ +
-            # INGEST.lock directly under it), byte-identical on disk
-            # to every pre-sharding store.
-            self.shards = [FleetShard(self.root, 0, obs=self.obs,
-                                      retry=self.retry)]
-        else:
-            self.shards = [
-                FleetShard(os.path.join(self.root, "shards",
-                                        "s%02d" % index),
-                           index, obs=self.obs, retry=self.retry)
-                for index in range(shards)
-            ]
-    @property
-    def db(self):
-        """Shard 0's database (compat alias; single-shard callers keep
-        working unchanged; tracks the shard's post-ingest refreshes)."""
-        return self.shards[0].db
+        self.shards = [
+            FleetShard(os.path.join(self.root, "shards", "s%02d" % index),
+                       index, obs=self.obs, retry=self.retry)
+            for index in range(shards)
+        ]
 
     # -- layout ------------------------------------------------------------
 
@@ -371,17 +359,7 @@ class FleetStore:
 
     @property
     def ledger(self):
-        """The store ledger.
-
-        Single-shard stores expose the live shard ledger dict (legacy
-        callers read *and mutate* it); sharded stores return a merged
-        read-only snapshot.
-        """
-        if self.num_shards == 1:
-            return self.shards[0].ledger
-        return self._merged_ledger()
-
-    def _merged_ledger(self):
+        """The store ledger: a read-only snapshot merged over shards."""
         from repro.ctx import merge_ledger_meta
         merged = _empty_ledger()
         ctx_by_epoch = {}
@@ -529,31 +507,19 @@ class FleetStore:
 
     def stats(self):
         """Ledger + database accounting in one flat dict."""
-        applied = 0
-        machines = set()
-        sums = {"samples_ingested": 0, "bytes_ingested": 0,
-                "duplicates_dropped": 0, "compactions": 0,
-                "downsample_residue": 0, "lock_retries": 0}
-        ctx_epochs = set()
-        for shard in self.shards:
-            ledger = shard.ledger
-            applied += len(ledger["applied"])
-            machines.update(ledger["machines"])
-            ctx_epochs.update(ledger["ctx"])
-            for key in sums:
-                sums[key] += ledger[key]
+        ledger = self.ledger
         return {
             "epochs": len(self.epochs()),
             "shards": self.num_shards,
-            "machines": len(machines),
-            "deltas_applied": applied,
-            "samples_ingested": sums["samples_ingested"],
-            "bytes_ingested": sums["bytes_ingested"],
-            "duplicates_dropped": sums["duplicates_dropped"],
-            "compactions": sums["compactions"],
-            "downsample_residue": sums["downsample_residue"],
-            "lock_retries": sums["lock_retries"],
-            "ctx_epochs": len(ctx_epochs),
+            "machines": len(ledger["machines"]),
+            "deltas_applied": len(ledger["applied"]),
+            "samples_ingested": ledger["samples_ingested"],
+            "bytes_ingested": ledger["bytes_ingested"],
+            "duplicates_dropped": ledger["duplicates_dropped"],
+            "compactions": ledger["compactions"],
+            "downsample_residue": ledger["downsample_residue"],
+            "lock_retries": ledger["lock_retries"],
+            "ctx_epochs": len(ledger["ctx"]),
             "stored_samples": self.total_samples(),
             "disk_bytes": self.disk_bytes(),
             "quarantined_samples": self.quarantined_samples(),

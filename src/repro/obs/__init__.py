@@ -8,8 +8,8 @@ reproduction the same introspection as a first-class subsystem:
   registry whose snapshots merge order-independently across shards;
 * :mod:`repro.obs.trace` -- hierarchical spans emitted as Chrome
   ``about:tracing``/Perfetto-compatible JSONL;
-* :mod:`repro.obs.schema` -- the normalized metric namespace that
-  unifies the old ad-hoc ``stats()`` dicts (which remain as shims);
+* :mod:`repro.obs.schema` -- the normalized metric namespace every
+  collection component reports through;
 * :mod:`repro.obs.report` -- the ``dcpimon`` report renderer.
 
 Instrumentation is zero-cost when disabled: :data:`NULL_OBS` answers
@@ -21,9 +21,7 @@ from repro.obs.metrics import (COUNTER, GAUGE, HISTOGRAM, NULL_REGISTRY,
                                flatten_metrics, merge_metrics)
 from repro.obs.observability import NULL_OBS, Observability, ObsConfig
 from repro.obs.schema import (daemon_metrics, derive, driver_metrics,
-                              hashtable_metrics, legacy_daemon_stats,
-                              legacy_driver_stats, legacy_hashtable_stats,
-                              session_metrics)
+                              hashtable_metrics, session_metrics)
 from repro.obs.trace import (NULL_TRACE, TraceRecorder, read_events,
                              span_durations, trace_counters)
 
@@ -36,6 +34,4 @@ __all__ = [
     "read_events", "span_durations", "trace_counters",
     "driver_metrics", "daemon_metrics", "hashtable_metrics",
     "session_metrics", "derive",
-    "legacy_driver_stats", "legacy_daemon_stats",
-    "legacy_hashtable_stats",
 ]

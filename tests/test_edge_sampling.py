@@ -8,6 +8,7 @@ from repro.core.cfg import build_cfg
 from repro.core.frequency import estimate_frequencies
 from repro.core.schedule import schedule_cfg
 from repro.cpu.config import MachineConfig
+from repro.obs import derive
 
 LOOP = """
 .image edgy
@@ -41,13 +42,13 @@ def run_session(edge_sampling=True):
 class TestCollection:
     def test_edge_samples_collected(self):
         result = run_session()
-        assert result.driver.stats()["edge_samples"] > 50
+        assert derive(result.metrics())["driver.edge_samples"] > 50
         profile = result.profile_for("edgy")
         assert profile.edge_counts
 
     def test_disabled_by_default(self):
         result = run_session(edge_sampling=False)
-        assert result.driver.stats()["edge_samples"] == 0
+        assert derive(result.metrics())["driver.edge_samples"] == 0
         assert not result.profile_for("edgy").edge_counts
 
     def test_edges_are_plausible_control_flow(self):

@@ -14,6 +14,7 @@ The load-bearing invariants:
   contents with the conservation identity exactly balanced.
 """
 
+import json
 import multiprocessing
 import os
 
@@ -108,6 +109,37 @@ def test_reshard_of_existing_store_is_refused(fleet_deltas, tmp_path):
     store.ingest(deltas[0])
     with pytest.raises(ValueError, match="shards"):
         FleetStore(root, shards=3)
+
+
+def test_default_store_is_laid_out_as_one_shard(tmp_path):
+    """Every store, the default one-shard store included, is
+    ``STORE.json`` plus ``shards/sNN/``."""
+    root = tmp_path / "store"
+    store = FleetStore(root)
+    assert store.ingest(_tiny_delta(1)) is True
+    assert sorted(os.listdir(root)) == ["STORE.json", "shards"]
+    assert os.listdir(root / "shards") == ["s00"]
+    assert os.path.isdir(root / "shards" / "s00" / "db")
+    with open(root / "STORE.json") as handle:
+        assert json.load(handle)["shards"] == 1
+    reopened = FleetStore(root)
+    assert reopened.num_shards == 1
+    assert reopened.total_samples() == 10
+
+
+@pytest.mark.parametrize("shards", [None, 1, 2, 4])
+def test_pre_sharding_root_is_refused(tmp_path, shards):
+    """A root holding ``db/`` but no ``STORE.json`` predates sharding:
+    opening it must fail, not show an empty store."""
+    from repro.collect.database import ProfileDatabase
+    from repro.cpu.events import EventType
+
+    root = tmp_path / "old"
+    ProfileDatabase(str(root / "db")).save("img", EventType.CYCLES,
+                                           {0: 5}, 4, 0)
+    with pytest.raises(ValueError, match="pre-sharding"):
+        FleetStore(root, shards=shards)
+    assert sorted(os.listdir(root)) == ["db"]
 
 
 def _ingest_worker(root, deltas):

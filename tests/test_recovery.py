@@ -169,9 +169,8 @@ def test_recovered_stats_flow_into_obs_metrics(tmp_path):
     expected_rate = ((report["dropped"] + report["lost"])
                      / report["driver_samples"])
     assert flat["collect.loss_rate"] == pytest.approx(expected_rate)
-    legacy = result.stats()
-    assert legacy["daemon_recoveries"] == result.daemon.recoveries
-    assert legacy["daemon_lost_samples"] == report["lost"]
+    assert flat["daemon.lost_samples"] == report["lost"]
+    assert flat["driver.overflow.dropped"] == report["dropped"]
 
 
 def test_analysis_flags_low_confidence_on_loss(tmp_path):
@@ -197,3 +196,32 @@ def test_analysis_flags_low_confidence_on_loss(tmp_path):
     clean = analyze_image(profile.image, profile,
                           config=AnalysisConfig(), loss_rate=0.0)
     assert not any(a.low_confidence for a in clean.values())
+
+
+def test_bundle_records_canonical_loss_accounting(tmp_path):
+    """A saved bundle's stats block is the schema view of the run, and
+    its loss block is read straight from the schema's loss keys."""
+    import json
+    import os
+
+    from repro.collect.bundle import save_bundle
+    from repro.obs.schema import derive
+
+    result, report = faulted_report(
+        tmp_path, [FaultSpec("daemon.drain.flush", "transient",
+                             after=2, limit=4),
+                   FaultSpec("daemon.drain.cpu", "crash", hits=(2,))])
+    assert report["ok"]
+    path = save_bundle(result, str(tmp_path / "bundle"))
+    with open(os.path.join(path, "meta.json")) as handle:
+        meta = json.load(handle)
+    expected = json.loads(json.dumps(derive(result.metrics())))
+    assert meta["stats"] == expected
+    assert expected["collect.samples_dropped"] > 0
+    assert expected["collect.recoveries"] >= 1
+    assert meta["loss"] == {
+        "samples_dropped": expected["collect.samples_dropped"],
+        "loss_rate": expected["collect.loss_rate"],
+        "recoveries": expected["collect.recoveries"],
+        "quarantined_samples": 0,
+    }
