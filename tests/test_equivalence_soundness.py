@@ -28,9 +28,8 @@ def class_counts(machine, cfg, classes):
         by_class.setdefault(cid, set()).add(count)
     for edge in cfg.edges:
         if edge.dst == EXIT:
-            # Exit edges include process-exit flows; counts still hold
-            # but the virtual return edge makes them class-consistent
-            # only with the entry, checked separately below.
+            # Exit edges have no separate ground truth, so they are
+            # skipped here as in check_equivalence_truth.
             continue
         count = true_edge_count(machine, cfg, edge)
         cid = classes.class_of[("e", edge.index)]
