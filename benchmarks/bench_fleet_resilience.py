@@ -18,7 +18,7 @@ with seeded backoff.  This benchmark measures both claims:
   retry/backoff counts reproducing run over run.
 
 Deterministic facts (sample conservation, retry counts, fault losses)
-land in the schema-7 "resilience" result block for cross-run
+land in the "resilience" result block for cross-run
 comparison; wall-clock throughputs are informational.
 """
 
@@ -28,7 +28,7 @@ import shutil
 import tempfile
 import time
 
-from conftest import (clamp_budget, record_resilience, run_once,
+from conftest import (clamp_budget, record_block, run_once,
                       write_result)
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (FleetConfig, FleetMachine, FleetSession,
@@ -117,7 +117,7 @@ def test_concurrent_sharded_ingest_outperforms_single_lock(benchmark):
             "4-shard concurrent ingest (%.3fs) not faster than the "
             "single-lock baseline (%.3fs)" % (sharded_s, single_s))
         lock_retries = single.stats()["lock_retries"]
-        record_resilience({
+        record_block("resilience", {
             "samples_conserved": 1,
             "corpus_deltas": deltas,
             "corpus_samples": shipped,
@@ -156,7 +156,7 @@ def test_faulted_fleet_conserves_and_accounts():
         assert not result.findings, [str(f) for f in result.findings]
         resilience = result.resilience
         transport = result.transport_stats
-        record_resilience({
+        record_block("resilience", {
             "fault_shipped_samples": result.shipped_samples(),
             "fault_stored_samples": result.store.total_samples(),
             "transit_lost_samples": transport["lost_samples"],

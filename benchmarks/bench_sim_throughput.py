@@ -18,7 +18,7 @@ Two properties are asserted:
   but not gated).
 
 The recorded ``instructions_per_sec`` metric feeds the CI baseline
-compare (``dcpibench compare --ips-threshold``).
+compare (``dcpibench compare``, 15% bound).
 """
 
 import time

@@ -13,7 +13,7 @@ the machine-readable half of the ``dcpibench`` harness
 (:mod:`repro.tools.benchrunner`): it records every profiling session a
 benchmark runs, captures per-test outcomes and durations, and writes a
 ``BENCH_<name>.json`` result per benchmark module at session end (see
-EXPERIMENTS.md for the schema).  Two environment knobs drive it:
+EXPERIMENTS.md for the fields).  Two environment knobs drive it:
 
 * ``DCPIBENCH_MAX_INSTRUCTIONS`` -- clamp every explicit instruction
   budget (quick/CI mode); run-to-completion runs are left alone.
@@ -43,29 +43,6 @@ RESULTS_DIR = os.environ.get(
 FAST_PERIOD = (240, 256)
 EVENT_PERIOD = 64
 
-#: Schema version stamped into every BENCH_*.json result.
-#: 2: added the "obs" block (repro.obs derived self-monitoring metrics).
-#: 3: added per-session "cpu_s" and the "instructions_per_sec" metric
-#:    (simulator throughput in instructions per CPU-second; the
-#:    fast-path CI gate compares it), plus the "fastpath" flag
-#:    recording whether the issue cache was on.
-#: 4: added the optional "fleet" block (repro.fleet store metrics --
-#:    ingest/merge throughput, store size under retention policies --
-#:    recorded via record_fleet()).  Purely additive: ``dcpibench
-#:    compare`` accepts baselines exactly one schema version older.
-#: 5: added the optional "ctx" block (repro.ctx request-attribution
-#:    metrics -- per-class sample counts, context-table accounting,
-#:    enable overhead -- recorded via record_ctx()).  Additive again.
-#: 6: added the optional "opt" block (repro.opt profile-guided
-#:    optimizer metrics -- realized speedup per workload with the
-#:    layout/schedule/split contribution split, acceptance flags --
-#:    recorded via record_opt()).  Additive again.
-#: 7: added the optional "resilience" block (fleet resilience metrics
-#:    -- concurrent vs serial ingest throughput, shard lock retries,
-#:    spool/backoff loss accounting under faults -- recorded via
-#:    record_resilience()).  Additive again.
-BENCH_SCHEMA = 7
-
 QUICK = os.environ.get("DCPIBENCH_QUICK") == "1"
 _CLAMP = int(os.environ.get("DCPIBENCH_MAX_INSTRUCTIONS", "0")) or None
 
@@ -76,10 +53,8 @@ _CURRENT = {"nodeid": None}
 _SESSIONS = []
 _REPORTS = {}
 _TEXTS = {}
-_FLEET = {}
-_CTX = {}
-_OPT = {}
-_RESILIENCE = {}
+# Optional per-module result blocks, by block name: {stem: metrics}.
+_BLOCKS = {"ctx": {}, "fleet": {}, "opt": {}, "resilience": {}}
 
 
 def clamp_budget(requested):
@@ -117,56 +92,16 @@ def write_result(name, text):
     return path
 
 
-def record_fleet(metrics):
-    """Merge *metrics* into this module's "fleet" result block.
+def record_block(name, metrics):
+    """Merge flat numeric *metrics* into this module's *name* result
+    block ("ctx", "fleet", "opt" or "resilience").
 
-    Fleet benchmarks (bench_fleet_store.py) call this with flat
-    numeric facts -- store bytes per retention policy, merge
-    throughput -- which land under the payload's schema-4 "fleet" key.
-    Deterministic counts there are compared between runs by
-    ``dcpibench compare``; timing-derived rates are informational.
+    ``dcpibench compare`` warns when the block's deterministic facts
+    drift between identically-configured runs (see
+    ``repro.tools.benchrunner.BLOCK_DRIFT_KEYS``); timing-derived
+    rates there are informational.
     """
-    _FLEET.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def record_ctx(metrics):
-    """Merge *metrics* into this module's "ctx" result block.
-
-    Context benchmarks (bench_ctx_traffic.py) call this with flat
-    numeric facts -- per-class sample counts, context-table interning
-    and eviction totals, the measured enable overhead -- which land
-    under the payload's schema-5 "ctx" key.  Deterministic counts are
-    compared between runs by ``dcpibench compare``; timing-derived
-    overhead percentages are informational.
-    """
-    _CTX.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def record_opt(metrics):
-    """Merge *metrics* into this module's "opt" result block.
-
-    Optimizer benchmarks (bench_opt_speedup.py) call this with flat
-    numeric facts -- per-workload realized speedup, the per-pass
-    contribution split, acceptance flags -- which land under the
-    payload's schema-6 "opt" key.  The simulator is deterministic, so
-    speedups are compared between identically-configured runs by
-    ``dcpibench compare`` (with a small float slack).
-    """
-    _OPT.setdefault(_module_stem(_CURRENT["nodeid"]), {}).update(metrics)
-
-
-def record_resilience(metrics):
-    """Merge *metrics* into this module's "resilience" result block.
-
-    Resilience benchmarks (bench_fleet_resilience.py) call this with
-    flat numeric facts -- serial vs concurrent sharded ingest
-    throughput and speedup, lock retry counts, fault-run loss
-    accounting (spool drops, transit losses, samples conserved) --
-    which land under the payload's schema-7 "resilience" key.
-    Deterministic counts are compared between runs by ``dcpibench
-    compare``; timing-derived throughputs are warn-only.
-    """
-    _RESILIENCE.setdefault(
+    _BLOCKS[name].setdefault(
         _module_stem(_CURRENT["nodeid"]), {}).update(metrics)
 
 
@@ -327,13 +262,10 @@ def _bench_payload(stem, tests, records):
             sum(r["instructions"] for r in timed)
             / sum(r["cpu_s"] for r in timed), 1)
     obs = _obs_block(profiled)
+    blocks = {name: by_stem.get(stem) for name, by_stem in _BLOCKS.items()}
     return {
-        "ctx": _CTX.get(stem),
-        "fleet": _FLEET.get(stem),
-        "opt": _OPT.get(stem),
-        "resilience": _RESILIENCE.get(stem),
+        **blocks,
         "obs": obs,
-        "schema": BENCH_SCHEMA,
         "benchmark": stem,
         "file": "bench_%s.py" % stem,
         "quick": QUICK,

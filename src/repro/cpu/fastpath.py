@@ -50,58 +50,44 @@ from repro.alpha import opcodes as _sem
 from repro.alpha.opcodes import MASK64
 
 
-def _cond_tables():
-    """Expression templates for semantics functions the codegen can
-    open-code (register values are canonical 64-bit unsigned, floats
-    are Python floats).  Anything absent falls back to calling the
-    record's semantics function."""
-    ops = {}
-    conds = {}
-    for name, tmpl in (
-            ("_addq", "({a} + {b}) & MASK64"),
-            ("_subq", "({a} - {b}) & MASK64"),
-            ("_s4addq", "(4 * {a} + {b}) & MASK64"),
-            ("_s8addq", "(8 * {a} + {b}) & MASK64"),
-            ("_and", "{a} & {b}"),
-            ("_bis", "{a} | {b}"),
-            ("_xor", "{a} ^ {b}"),
-            ("_bic", "{a} & ~{b} & MASK64"),
-            ("_sll", "({a} << ({b} & 63)) & MASK64"),
-            ("_srl", "({a} & MASK64) >> ({b} & 63)"),
-            ("_cmpeq", "1 if {a} == {b} else 0"),
-            ("_cmpult", "1 if ({a} & MASK64) < ({b} & MASK64) else 0"),
-            ("_cmpule", "1 if ({a} & MASK64) <= ({b} & MASK64) else 0"),
-            ("_addt", "{a} + {b}"),
-            ("_subt", "{a} - {b}"),
-            ("_mult", "{a} * {b}"),
-            ("_divt", "({a} / {b} if {b} != 0.0 else 0.0)"),
-    ):
-        fn = getattr(_sem, name, None)
-        if fn is not None:
-            ops[fn] = tmpl
-    for name, tmpl in (
-            ("_beq", "{a} == 0"),
-            ("_bne", "{a} != 0"),
-            ("_blt", "({a} >> 63) != 0"),
-            ("_ble", "({a} >> 63) != 0 or {a} == 0"),
-            ("_bgt", "({a} >> 63) == 0 and {a} != 0"),
-            ("_bge", "({a} >> 63) == 0"),
-            ("_blbc", "({a} & 1) == 0"),
-            ("_blbs", "({a} & 1) == 1"),
-            ("_fbeq", "{a} == 0.0"),
-            ("_fbne", "{a} != 0.0"),
-            ("_fblt", "{a} < 0.0"),
-            ("_fble", "{a} <= 0.0"),
-            ("_fbgt", "{a} > 0.0"),
-            ("_fbge", "{a} >= 0.0"),
-    ):
-        fn = getattr(_sem, name, None)
-        if fn is not None:
-            conds[fn] = tmpl
-    return ops, conds
-
-
-_INLINE_OPS, _INLINE_CONDS = _cond_tables()
+#: Expression templates for semantics functions the codegen can
+#: open-code (register values are canonical 64-bit unsigned, floats
+#: are Python floats), keyed on the callables themselves so a renamed
+#: semantics function fails at import.  Anything absent falls back to
+#: calling the record's semantics function.
+_INLINE_OPS = {
+    _sem._addq: "({a} + {b}) & MASK64",
+    _sem._subq: "({a} - {b}) & MASK64",
+    _sem._s4addq: "(4 * {a} + {b}) & MASK64",
+    _sem._s8addq: "(8 * {a} + {b}) & MASK64",
+    _sem._and: "{a} & {b}",
+    _sem._bis: "{a} | {b}",
+    _sem._xor: "{a} ^ {b}",
+    _sem._bic: "{a} & ~{b} & MASK64",
+    _sem._sll: "({a} << ({b} & 63)) & MASK64",
+    _sem._srl: "({a} & MASK64) >> ({b} & 63)",
+    _sem._cmpeq: "1 if {a} == {b} else 0",
+    _sem._cmpult: "1 if ({a} & MASK64) < ({b} & MASK64) else 0",
+    _sem._cmpule: "1 if ({a} & MASK64) <= ({b} & MASK64) else 0",
+    _sem._addt: "{a} + {b}",
+    _sem._subt: "{a} - {b}",
+    _sem._mult: "{a} * {b}",
+    _sem._divt: "({a} / {b} if {b} != 0.0 else 0.0)",
+}
+_INLINE_CONDS = {
+    _sem._beq: "{a} == 0",
+    _sem._bne: "{a} != 0",
+    _sem._blt: "({a} >> 63) != 0",
+    _sem._ble: "({a} >> 63) != 0 or {a} == 0",
+    _sem._bgt: "({a} >> 63) == 0 and {a} != 0",
+    _sem._bge: "({a} >> 63) == 0",
+    _sem._blbc: "({a} & 1) == 0",
+    _sem._blbs: "({a} & 1) == 1",
+    _sem._fbeq: "{a} == 0.0",
+    _sem._fbne: "{a} != 0.0",
+    _sem._fblt: "{a} < 0.0",
+    _sem._fbge: "{a} >= 0.0",
+}
 
 
 def cache_geometry(cache_config):

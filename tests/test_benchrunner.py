@@ -25,7 +25,6 @@ def test_discovers_the_suite():
 def _payload(name, elapsed=10.0, samples=5000, overhead=1.0, passed=True,
              clamp=None):
     return {
-        "schema": 1,
         "benchmark": name,
         "file": "bench_%s.py" % name,
         "quick": clamp is not None,
@@ -138,84 +137,57 @@ def test_compare_cli_errors_on_empty_dir(tmp_path):
     assert main(["compare", str(empty), str(empty)]) == 2
 
 
-def test_compare_fails_on_schema_mismatch(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 99
-    _write_results(str(tmp_path / "new"), new)
-    exit_code = main(["compare", str(tmp_path / "old"),
-                      str(tmp_path / "new")])
-    assert exit_code == 1
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("schema" in r for r in comparison.regressions)
-
-
-def test_compare_lenient_skips_schema_mismatch(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 99
-    # The incomparable benchmark would otherwise also trip the
-    # elapsed-time gate; --lenient must skip it entirely.
-    new[0]["metrics"]["elapsed_s"] = 100.0
-    _write_results(str(tmp_path / "new"), new)
-    assert main(["compare", str(tmp_path / "old"),
-                 str(tmp_path / "new"), "--lenient"]) == 0
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")),
-                                 lenient=True)
-    assert comparison.ok
-    assert any("schema" in n for n in comparison.notes)
-
-
-def test_compare_accepts_one_version_older_baseline(result_dirs):
-    """Schema bumps are additive: schema N baselines gate schema N+1
-    results on every shared field instead of hard-failing."""
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 2  # baseline stays at 1
-    new[0]["fleet"] = {"samples_ingested": 123}  # additive block
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert comparison.ok
-    assert any("one version older" in n for n in comparison.notes)
-
-
-def test_compare_still_gates_shared_fields_across_schema_skew(result_dirs):
-    tmp_path, _, new = result_dirs
-    new[0]["schema"] = 2
-    new[0]["metrics"]["samples"] = 6000  # 20% drift, same clamp
-    _write_results(str(tmp_path / "new"), new)
-    comparison = compare_results(load_results(str(tmp_path / "old")),
-                                 load_results(str(tmp_path / "new")))
-    assert any("drift" in r for r in comparison.regressions)
-
-
-def test_compare_rejects_schema_downgrade_and_wider_gaps(result_dirs):
+def test_compare_notes_one_sided_keys_and_still_gates_shared_ones(
+        result_dirs):
+    """A block or metric carried by one side only is a note; every
+    key both sides carry is still compared."""
     tmp_path, old, new = result_dirs
-    # Downgrade: new results one version OLDER than the baseline.
-    old[0]["schema"] = 2
+    old[0]["retired_field"] = 3
+    new[0]["fleet"] = {"samples_ingested": 123}
+    new[0]["metrics"]["new_metric"] = 1.0
+    new[0]["metrics"]["samples"] = 6000  # 20% drift, same clamp
     _write_results(str(tmp_path / "old"), old)
     _write_results(str(tmp_path / "new"), new)
     comparison = compare_results(load_results(str(tmp_path / "old")),
                                  load_results(str(tmp_path / "new")))
-    assert any("not comparable" in r for r in comparison.regressions)
-    # Gap of two versions: not covered by the additive-bump policy.
-    new[0]["schema"] = 4
+    assert sorted(comparison.notes) == [
+        "alpha: fleet only in the new results",
+        "alpha: metrics.new_metric only in the new results",
+        "alpha: retired_field only in the baseline",
+    ]
+    assert comparison.regressions == [
+        "alpha: samples 5000 -> 6000 (drift 20.0% > 1.0%)"]
+
+
+@pytest.mark.parametrize("key", ["instructions", "cycles"])
+def test_compare_flags_deterministic_drift_same_setup(result_dirs, key):
+    tmp_path, old, new = result_dirs
+    before = old[0]["metrics"][key]
+    new[0]["metrics"][key] = before + before // 10
     _write_results(str(tmp_path / "new"), new)
     comparison = compare_results(load_results(str(tmp_path / "old")),
                                  load_results(str(tmp_path / "new")))
-    assert any("not comparable" in r for r in comparison.regressions)
+    assert comparison.regressions == [
+        "alpha: %s %d -> %d (drift 10.0%% > 1.0%%)"
+        % (key, before, before + before // 10)]
 
 
-def test_compare_warns_on_fleet_block_drift(result_dirs):
+@pytest.mark.parametrize("block, key, label", [
+    ("obs", "driver.hash.evictions", "hash evictions"),
+    ("fleet", "samples_ingested", "fleet samples ingested"),
+    ("opt", "accepted", "opt rewrites accepted"),
+    ("resilience", "ship_retries", "resilience ship retries"),
+], ids=["obs", "fleet", "opt", "resilience"])
+def test_compare_warns_on_block_drift(result_dirs, block, key, label):
     tmp_path, old, new = result_dirs
-    old[0]["fleet"] = {"samples_ingested": 100, "disk_bytes_full": 900}
-    new[0]["fleet"] = {"samples_ingested": 120, "disk_bytes_full": 900}
+    old[0][block] = {key: 100, "unrelated": 900}
+    new[0][block] = {key: 120, "unrelated": 900}
     _write_results(str(tmp_path / "old"), old)
     _write_results(str(tmp_path / "new"), new)
     comparison = compare_results(load_results(str(tmp_path / "old")),
                                  load_results(str(tmp_path / "new")))
     assert comparison.ok  # drift warns, never fails the build
-    assert any("fleet samples ingested" in w for w in comparison.warnings)
+    assert comparison.warnings == ["alpha: %s drifted 100 -> 120" % label]
 
 
 def test_compare_flags_throughput_regression(result_dirs):
@@ -252,7 +224,8 @@ def test_compare_skips_throughput_across_fastpath_settings(result_dirs):
 
 
 def test_run_single_benchmark_end_to_end(tmp_path):
-    """dcpibench really runs a benchmark and emits schema-valid JSON."""
+    """dcpibench really runs a benchmark, emits the documented JSON,
+    and the result compares cleanly with the committed baseline."""
     results_dir = str(tmp_path / "results")
     exit_code = main(["--quick", "--workers", "1", "table5_space",
                       "--results-dir", results_dir,
@@ -272,3 +245,20 @@ def test_run_single_benchmark_end_to_end(tmp_path):
     # The human-readable rendering still lands next to the JSON.
     assert payload["text_results"] == ["table5_space.txt"]
     assert os.path.exists(os.path.join(results_dir, "table5_space.txt"))
+
+    # The committed baseline (same --quick clamp) must stay comparable
+    # with a fresh result: same keys, same deterministic counts, and
+    # no drift or lost assertion.  Wall-clock rules are left out:
+    # they depend on the machine, not on the code.
+    with open(os.path.join(REPO_BENCH_DIR, "baselines",
+                           "BENCH_table5_space.json")) as handle:
+        baseline = json.load(handle)
+    assert set(payload) == set(baseline)
+    assert set(payload["metrics"]) == set(baseline["metrics"])
+    for key in ("samples", "instructions", "cycles"):
+        assert payload["metrics"][key] == baseline["metrics"][key], key
+    comparison = compare_results({"table5_space": baseline},
+                                 {"table5_space": payload})
+    assert not comparison.notes
+    assert not [r for r in comparison.regressions
+                if "drift" in r or "fails now" in r]

@@ -1,11 +1,17 @@
 """Unit tests for the simulator fast path (block-level issue cache)."""
 
+import itertools
+import math
 import os
 from unittest import mock
 
+import pytest
+
 from repro.alpha.assembler import assemble
+from repro.alpha.opcodes import MASK64
 from repro.cpu.config import CacheConfig, MachineConfig
-from repro.cpu.fastpath import FastPath, cache_geometry
+from repro.cpu.fastpath import (_INLINE_CONDS, _INLINE_OPS, FastPath,
+                                cache_geometry)
 from repro.cpu.machine import Machine
 from repro.obs.schema import derive, session_metrics
 from repro.workloads.asmgen import loop_proc
@@ -34,6 +40,46 @@ class TestCacheGeometry:
     def test_non_power_of_two_sets_rejected(self):
         # 96KB 1-way with 64B lines: 1536 sets.
         assert cache_geometry(CacheConfig(96 * 1024, 64, 1, 3)) is None
+
+
+INT_EDGES = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1)
+FLOAT_EDGES = (0.0, -0.0, 1.0, -2.5, math.inf, -math.inf)
+
+
+def _same(x, y):
+    """Equal, NaN-aware, and telling -0.0 from 0.0."""
+    if isinstance(x, float) or isinstance(y, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1, x) == math.copysign(1, y)
+    return x == y
+
+
+class TestInlineTemplates:
+    """Every open-coded template computes what its semantics function
+    computes, on the boundary values of its operand type (the float
+    edges include a zero divisor for divt)."""
+
+    @staticmethod
+    def _edges(fn):
+        return (FLOAT_EDGES if fn.__annotations__["a"] == "float"
+                else INT_EDGES)
+
+    @pytest.mark.parametrize("fn", list(_INLINE_OPS),
+                             ids=lambda fn: fn.__name__)
+    def test_op_template_matches_semantics(self, fn):
+        expr = _INLINE_OPS[fn].format(a="a", b="b")
+        for a, b in itertools.product(self._edges(fn), repeat=2):
+            got = eval(expr, {"MASK64": MASK64, "a": a, "b": b})
+            assert _same(got, fn(a, b)), (fn.__name__, a, b, got)
+
+    @pytest.mark.parametrize("fn", list(_INLINE_CONDS),
+                             ids=lambda fn: fn.__name__)
+    def test_cond_template_matches_semantics(self, fn):
+        expr = _INLINE_CONDS[fn].format(a="a")
+        for a in self._edges(fn):
+            got = eval(expr, {"a": a})
+            assert bool(got) == bool(fn(a)), (fn.__name__, a, got)
 
 
 class TestConfigKnob:
